@@ -46,7 +46,10 @@ from repro.coreir.syntax import (
     CVar,
     app_spine,
 )
+from repro.coreir.eval import with_big_stack
+from repro.errors import ResourceLimitError
 from repro.limits import (
+    DEFAULT_EVAL_DEPTH,
     DEFAULT_TRANSFORM_DEPTH,
     DepthGuard,
     recursion_fence,
@@ -327,19 +330,34 @@ def compile_to_python(program: CoreProgram) -> str:
 
 
 class PyProgram:
-    """A core program compiled to Python and ready to run."""
+    """A core program compiled to Python and ready to run.
 
-    def __init__(self, core: CoreProgram) -> None:
+    Generated code recurses on the Python stack (it has no tail
+    calls), so :meth:`run` uses a big-stack thread and bounds the
+    nesting of applications by *max_depth* (the evaluator's
+    ``eval_depth_limit``): a runaway recursion ends in a
+    :class:`ResourceLimitError`, never in a crashed process."""
+
+    def __init__(self, core: CoreProgram,
+                 max_depth: int = DEFAULT_EVAL_DEPTH) -> None:
         self.source = compile_to_python(core)
-        self.counters = pyrt.Counters()
+        self.counters = pyrt.Counters(max_depth)
         namespace: Dict[str, Any] = {}
         exec(compile(self.source, "<pygen>", "exec"), namespace)
         globals_map: Dict[str, Any] = dict(pyrt.primitives(self.counters))
         self.globals = namespace["_init"](pyrt, self.counters, globals_map)
 
-    def run(self, name: str = "main", deep: bool = True) -> Any:
-        with recursion_fence(f"compiled evaluation of '{name}'"):
-            value = pyrt.force(self.globals[name])
-            if deep:
-                return pyrt.to_python(value)
-            return value
+    def run(self, name: str = "main", deep: bool = True,
+            big_stack: bool = True) -> Any:
+        def go() -> Any:
+            with recursion_fence(f"compiled evaluation of '{name}'"):
+                try:
+                    value = pyrt.force(self.globals[name])
+                    return pyrt.to_python(value) if deep else value
+                except pyrt.DepthLimitError as exc:
+                    raise ResourceLimitError(
+                        f"compiled evaluation of '{name}': {exc}; raise "
+                        f"eval_depth_limit for deeply recursive programs",
+                        limit="eval_depth_limit") from None
+
+        return with_big_stack(go) if big_stack else go()

@@ -22,10 +22,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class Counters:
-    __slots__ = ("dict_constructions", "dict_selections", "fun_calls",
-                 "prim_calls")
+    """The §9 counters, plus the nesting depth of applications in
+    progress and its budget (``max_depth``; 0 means none)."""
 
-    def __init__(self) -> None:
+    __slots__ = ("dict_constructions", "dict_selections", "fun_calls",
+                 "prim_calls", "depth", "max_depth")
+
+    def __init__(self, max_depth: int = 0) -> None:
+        self.max_depth = max_depth
         self.reset()
 
     def reset(self) -> None:
@@ -33,6 +37,7 @@ class Counters:
         self.dict_selections = 0
         self.fun_calls = 0
         self.prim_calls = 0
+        self.depth = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {
@@ -90,6 +95,10 @@ class PyRtError(Exception):
     """Raised by compiled programs (pattern failures, user error)."""
 
 
+class DepthLimitError(PyRtError):
+    """Applications nested deeper than ``Counters.max_depth``."""
+
+
 def force(value: Any) -> Any:
     """Weak-head normal form."""
     while type(value) is Thunk:
@@ -124,7 +133,16 @@ def apply_fn(counters: Counters, fn: Any, *args: Any) -> Any:
                 counters.prim_calls += 1
             else:
                 counters.fun_calls += 1
-            fn = force(fn.fn(*have))
+            depth = counters.depth + 1
+            if depth > counters.max_depth > 0:
+                raise DepthLimitError(
+                    f"applications nest more than {counters.max_depth} "
+                    f"levels deep")
+            counters.depth = depth
+            try:
+                fn = force(fn.fn(*have))
+            finally:
+                counters.depth = depth - 1
         elif isinstance(fn, _ConMaker):
             have = fn.applied + pending[: fn.arity - len(fn.applied)]
             pending = pending[fn.arity - len(fn.applied):]

@@ -27,7 +27,7 @@ from repro.limits import ensure_recursion_headroom, recursion_fence
 from repro.core.infer import Inferencer, InferResult
 from repro.core.static import StaticEnv
 from repro.core.types import Scheme, qual_type_str
-from repro.coreir.eval import (Evaluator, EvalStats, Thunk, value_to_python,
+from repro.coreir.eval import (Evaluator, EvalStats, value_to_python,
                                with_big_stack)
 from repro.coreir.syntax import CoreBinding, CoreExpr, CoreProgram
 from repro.coreir.translate import Translator
@@ -104,9 +104,15 @@ class CompiledProgram:
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
         del state["_lock"]
-        # Warm evaluators hold closures over live frames — process-local
-        # state that must not ride into the disk cache.
+        # Warm evaluators hold compiled code and live frames —
+        # process-local state that must not ride into the disk cache;
+        # the last evaluation's counters travel as plain numbers.
         state.pop("_eval_pool", None)
+        stats = state.get("last_stats")
+        if stats is not None:
+            plain = EvalStats(**stats.snapshot())
+            plain.max_stack = stats.max_stack
+            state["last_stats"] = plain
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
@@ -213,7 +219,7 @@ class CompiledProgram:
 
     def _release_evaluator(self, evaluator: Evaluator) -> None:
         baseline = len(self.core.bindings) + self._EVAL_POOL_EXTRAS
-        if len(evaluator.globals.vars) > baseline:
+        if len(evaluator.globals) > baseline:
             return  # retired: too many per-expression helper bindings
         with self._lock:
             if len(self._eval_pool) < self._EVAL_POOL_SIZE:
@@ -238,9 +244,8 @@ class CompiledProgram:
         reuse = reuse and not overrides
         evaluator = self._acquire_evaluator(reuse)
         for binding in compiled.core_extra:
-            if binding.name not in evaluator.globals.vars:
-                evaluator.globals.vars[binding.name] = \
-                    Thunk(binding.expr, evaluator.globals)
+            if binding.name not in evaluator.globals:
+                evaluator.globals.define(binding.name, binding.expr)
         if overrides:
             evaluator.call_by_need = overrides.get(
                 "call_by_need", self.options.call_by_need)
@@ -309,7 +314,8 @@ class CompiledProgram:
         if roots is not None:
             from repro.transform.dce import shake
             core = shake(core, roots)
-        return PyProgram(core)
+        return PyProgram(core, max_depth=getattr(
+            self.options, "eval_depth_limit", 200_000))
 
     def shake(self, roots: List[str]) -> "CompiledProgram":
         """A copy of this program keeping only the bindings reachable

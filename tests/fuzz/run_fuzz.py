@@ -23,7 +23,7 @@ import argparse
 import sys
 import time
 from collections import Counter
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.driver import compile_source
 from repro.errors import CoreLintError, ReproError
@@ -169,6 +169,58 @@ def check_solver_diff(source: str, snapshot: PreludeSnapshot,
     return reduce_v[:2]
 
 
+#: the counters the compiled backend (``repro.coreir.pyrt``) keeps
+ENGINE_COUNTERS = ("dict_constructions", "dict_selections", "fun_calls",
+                   "prim_calls")
+
+
+def _engine_outcome(go) -> Tuple[str, Any]:
+    """``("value", v)`` or ``("error", class)`` for one engine run.  A
+    run-time failure is an ``EvalError`` in the interpreter and a
+    ``PyRtError`` in compiled code: both count as ``EvalError``."""
+    from repro.coreir.pyrt import PyRtError
+    try:
+        return "value", go()
+    except PyRtError:
+        return "error", "EvalError"
+    except ReproError as exc:
+        return "error", type(exc).__name__
+
+
+def check_engine_diff(source: str, snapshot: PreludeSnapshot,
+                      options: CompilerOptions
+                      ) -> Tuple[str, Optional[str]]:
+    """The engine oracle: every program that compiles runs ``main`` on
+    the evaluator and on the compiled Python backend
+    (``to_python().run``); the value (or the error class) and the §9
+    counters both engines keep must agree.
+
+    Programs the evaluator does not finish within the step budget are
+    not run compiled (the backend has no step budget to stop them)."""
+    outcome, code, program = _compile_verdict(source, snapshot, options)
+    if outcome == "error" or "main" not in program.schemes:
+        return outcome, code
+    interp = _engine_outcome(
+        lambda: program.run("main", step_limit=EVAL_STEP_LIMIT))
+    if interp == ("error", "EvalError") and program.last_stats.steps \
+            > EVAL_STEP_LIMIT:
+        return "error", "eval"
+    counts = {name: getattr(program.last_stats, name)
+              for name in ENGINE_COUNTERS}
+    compiled = program.to_python(["main"])
+    other = _engine_outcome(lambda: compiled.run("main"))
+    if interp != other:
+        raise AssertionError(
+            f"engines disagree on main: evaluator={interp!r} "
+            f"compiled={other!r}")
+    other_counts = compiled.counters.snapshot()
+    if counts != other_counts:
+        raise AssertionError(
+            f"engines disagree on the counters: evaluator={counts} "
+            f"compiled={other_counts}")
+    return ("ok", None) if interp[0] == "value" else ("error", "eval")
+
+
 def check_modules(specs, snapshot: PreludeSnapshot,
                   options: CompilerOptions,
                   positions: bool = False) -> Tuple[str, Optional[str]]:
@@ -233,6 +285,11 @@ def main(argv=None) -> int:
                          "mismatch fails the run (a reduce-side "
                          "static.multi-param rejection is the one tolerated "
                          "divergence — those programs are chr-only)")
+    ap.add_argument("--engine-diff", action="store_true",
+                    help="differential engine oracle: run each compiled "
+                         "single-file input on the evaluator and on the "
+                         "compiled Python backend; a value, error-class or "
+                         "dictionary/call counter mismatch fails the run")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
 
@@ -267,6 +324,8 @@ def main(argv=None) -> int:
             if args.solver_diff:
                 outcome, code = check_solver_diff(
                     source, snapshot, chr_snapshot, options, chr_options)
+            elif args.engine_diff:
+                outcome, code = check_engine_diff(source, snapshot, options)
             else:
                 outcome, code = check_one(
                     source, snapshot, options, positions=args.positions,

@@ -220,3 +220,26 @@ class TestOptions:
         assert opts.dict_layout == "flat"
         assert opts.eval_step_limit == 500
         assert opts.defaulting is False
+
+
+class TestCompiledBackendDoesNotCrash:
+    def test_runaway_recursion_exits_cleanly(self, tmp_path):
+        # Generated Python recurses on the host stack; on a default
+        # thread this program used to kill the process with SIGSEGV
+        # (exit 139).  It must end in a ResourceLimitError: exit 1.
+        import os
+        import pathlib
+        import subprocess
+        import sys
+        (tmp_path / "Main.mhs").write_text(
+            "module Main where\n"
+            "loop n = if n < 0 then 0 else loop (n + 1)\n"
+            "main = loop 0\n")
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "build", str(tmp_path),
+             "--backend=py", "--run"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1, (proc.returncode, proc.stderr[-2000:])
+        assert "raise eval_depth_limit" in proc.stderr, proc.stderr[-2000:]

@@ -238,3 +238,95 @@ class TestRawCoreEvaluation:
                        fromlist=["PRIMITIVES"]).PRIMITIVES())
         result = ev.run_expr(capp(CVar("loop"), CLit(100_000, "int")))
         assert value_to_python(ev, result) == 42
+
+
+COUNT = """
+count :: Int -> Int
+count n = if n == 0 then 0 else 1 + count (n - 1)
+"""
+
+
+class TestDepthBudget:
+    """Each interpreted level costs a few Python frames, so every one of
+    the eval_depth_limit (200,000) levels must be reachable under the
+    big-stack recursion limit: running out is the evaluator's own
+    ResourceLimitError, never Python's recursion limit."""
+
+    def test_budget_reached_through_run(self):
+        from repro.errors import ResourceLimitError
+        program = compile_source(COUNT + "main = count 250000")
+        with pytest.raises(ResourceLimitError) as info:
+            program.run("main")
+        assert info.value.limit == "eval_depth_limit"
+        assert program.last_stats.max_stack == 200_001
+
+    def test_budget_reached_through_server_eval(self):
+        from repro.service.server import (CompileServer, CompileService,
+                                          ServiceClient)
+        options = CompilerOptions(server_workers=1, request_timeout=600.0)
+        server = CompileServer(service=CompileService(options))
+        port = server.start()
+        try:
+            with ServiceClient("127.0.0.1", port) as client:
+                r = client.request("eval", source=COUNT,
+                                   expr="count 250000")
+                assert not r["ok"], r
+                assert r["error"]["code"] == "limit", r
+                assert r["error"]["limit"] == "eval_depth_limit", r
+                assert client.request("ping")["ok"]
+        finally:
+            server.stop()
+
+
+def _compile_workload_programs(count: int = 10):
+    """Fresh programs of the perfbench compile workload (seed 3), with
+    the value ``main`` must have."""
+    import importlib.util
+    import pathlib
+    path = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+            / "workloads.py")
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = workloads.rng_for(3, "compile")
+    for i, shape in enumerate(workloads.SHAPES[:count]):
+        model = workloads.ClassProgram(rng, shape, f"3.{i}")
+        yield compile_source(model.source()), model.value()
+
+
+class TestNoCyclesThroughCompiledCode:
+    def test_one_shot_run_leaves_no_cyclic_garbage(self):
+        # The tree-walking evaluator this engine replaced left 372-575
+        # unreachable objects per program here (its top-level frame and
+        # thunks referred to each other); compiled code must not add
+        # to that, and a dropped one-shot evaluator is freed by
+        # reference counting.
+        import gc
+        garbage = []
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            for program, expected in _compile_workload_programs():
+                gc.collect()
+                assert program.run("main") == expected
+                garbage.append(gc.collect())
+        finally:
+            if enabled:
+                gc.enable()
+        assert max(garbage) <= 100, garbage
+
+    def test_warm_program_pickles_without_compiled_code(self):
+        import pickle
+        from repro.coreir.eval import EvalStats, Runtime
+        program, expected = next(_compile_workload_programs(1))
+        compiled = program.compile_expr("main")
+        assert program.eval_compiled(compiled, reuse=True) == expected
+        assert program._eval_pool, "the evaluator went back to the pool"
+        state = program.__getstate__()
+        assert "_eval_pool" not in state
+        assert type(state["last_stats"]) is EvalStats
+        assert not isinstance(state["last_stats"], Runtime)
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone.run("main") == expected
+        assert clone.eval_compiled(compiled, reuse=True) == expected
