@@ -32,16 +32,18 @@ Laziness is the default; ``call_by_need=False`` gives call-by-name
 whose repeated dictionary construction section 8.8 warns about.
 
 **Closures, compiled once.**  Each core expression is compiled into
-nested Python closures the first time it runs, and the closures stay
+nested Python functions the first time it runs, and the code stays
 with the :class:`Evaluator` (the compile server's pooled evaluators
-keep them across requests):
+keep it across requests):
 
 * a local variable resolves at compile time to a (depth, slot)
   position in list frames ``[parent, slot1, slot2, ...]``; the
   top-level bindings form the outermost frame, so a global is a slot
   in it too;
-* lambda bodies and case alternatives compile lazily, on first entry,
-  so a run pays only for the code it reaches;
+* lambda bodies, case alternatives and suspended expressions (thunk
+  code) compile lazily, on first entry, so a run pays only for the
+  code it reaches;
+* a chain of nested ``let``s runs as one node with one frame;
 * an application whose head evaluates to a closure or primitive of
   exactly the arity supplied enters it directly, without the general
   partial/over-application path (:func:`_apply`);
@@ -51,12 +53,14 @@ keep them across requests):
   interpreted level costs about three Python frames.
 
 Every counter is charged where the code for the node it describes
-runs, in the order a node-by-node interpreter would charge it; the
-goldens in ``tests/golden/eval_stats.json`` pin the counts, errors and
-step-limit verdicts over a corpus.  Closures and not generated Python
-source: CPython's ``compile()`` costs about 21 µs per core node against
-about 2 µs to build closures, and a request runs a small part of the
-program it compiles.
+runs, in the order a node-by-node interpreter would charge it (where
+one piece of code stands for several nodes it adds their steps at
+once, and replays them one by one only when that crosses the step
+limit); the goldens in ``tests/golden/eval_stats.json`` pin the
+counts, errors and step-limit verdicts over a corpus.  Closures and
+not generated Python source: CPython's ``compile()`` costs about
+21 µs per core node against about 2 µs to build closures, and a
+request runs a small part of the program it compiles.
 
 A thunk is a two-slot list: ``[code, frame]`` while suspended,
 ``[None, value]`` once evaluated (under call-by-need), with
@@ -64,8 +68,9 @@ A thunk is a two-slot list: ``[code, frame]`` while suspended,
 several times cheaper to allocate than an instance, and thunks are the
 most frequent allocation.  Compiled code reaches counters and limits
 through a :class:`Runtime` and never refers to the evaluator or its
-top-level frame, so dropping a one-shot evaluator frees its code by
-reference counting.
+top-level frame; a dropped evaluator empties that frame, so its code
+and values are freed by reference counting, not left to the cycle
+collector.
 """
 
 from __future__ import annotations
@@ -327,20 +332,19 @@ class Runtime(EvalStats):
         if code is _BLACKHOLE:
             raise EvalError("<<loop>>: value depends on itself")
         value[0] = _BLACKHOLE
+        d = self.depth + 1
         try:
-            d = self.depth + 1
             if d > self.mark:
                 self.grow(d)
             self.depth = d
-            try:
-                r = code(value[1])
-                while type(r) is tuple:
-                    r = r[0](r[1])
-            finally:
-                self.depth = d - 1
+            r = code(value[1])
+            while type(r) is tuple:
+                r = r[0](r[1])
+            self.depth = d - 1
             if type(r) is list:
                 r = r[1] if r[0] is None else self.force(r)
         except BaseException:
+            self.depth = d - 1
             value[0] = code
             raise
         if self.call_by_need:
@@ -416,21 +420,20 @@ class _Scope:
 
 class _Lam:
     """A lambda: arity, parameter names and its body code, compiled on
-    first entry."""
+    first entry (and again after :meth:`Evaluator.forget_code`)."""
 
-    __slots__ = ("arity", "params", "body", "_todo")
+    __slots__ = ("arity", "params", "body", "_source")
 
     def __init__(self, expr: CLam, scope: _Scope,
                  compiler: "_Compiler") -> None:
         self.arity = len(expr.params)
         self.params = expr.params
         self.body: Optional[Callable] = None
-        self._todo: Any = (expr.body, scope, compiler)
+        self._source = (expr.body, scope, compiler)
 
     def compile(self) -> Callable:
-        body, scope, compiler = self._todo
+        body, scope, compiler = self._source
         self.body = compiler.code(body, scope)
-        self._todo = None
         return self.body
 
 
@@ -517,18 +520,30 @@ _GETTERS: Dict[Tuple[int, int], Callable[[List[Any]], Any]] = {}
 
 
 class _Compiler:
-    """Compiles core expressions to closures ``code(env)``.
+    """Compiles core expressions to functions ``code(env)``.
 
     A code returns a value, a thunk, or ``(code, env)`` for a tail
     position; every caller that is not itself in tail position goes
-    through :meth:`Runtime.enter` or :meth:`Runtime.force`, which run
-    those.  The compiler holds the runtime and the top-level name ->
-    slot table, never the top-level frame, so compiled code does not
-    keep the evaluator's values alive."""
+    through :meth:`Runtime.enter` or :meth:`Runtime.force` (or does
+    what they do inline), which run those.  The compiler holds the
+    runtime and the top-level name -> slot table, never the top-level
+    frame, so compiled code does not keep the evaluator's values alive.
+
+    Compiled functions bind what they use as default arguments, not as
+    closure cells: a cell is one more object per captured variable,
+    and code lives as long as its evaluator — for a one-shot run that
+    is long enough to reach the collector's oldest generation, where
+    every extra object makes full collections more frequent.  (Reading
+    a local is also a little cheaper than reading a cell.)  They are
+    only ever called with the one ``env`` argument."""
 
     def __init__(self, rt: Runtime, gindex: Dict[str, int]) -> None:
         self.rt = rt
+        self.force = rt.force
         self.gindex = gindex
+        #: every lambda compiled so far, until forget_code() stops the
+        #: tracking
+        self.lams: Optional[List[_Lam]] = []
 
     # ------------------------------------------------------------ scope
 
@@ -548,59 +563,40 @@ class _Compiler:
                scope: Optional[_Scope]) -> Callable[[List[Any]], Any]:
         where = self.resolve(name, scope)
         if where is None:
-            def unbound(env: List[Any]) -> Any:
+            def unbound(env, name=name):
                 raise EvalError(f"unbound variable {name!r} at run time")
             return unbound
         return _getter(*where)
 
     # --------------------------------------------------------- arguments
 
-    def arg(self, expr: CoreExpr,
-            scope: Optional[_Scope]) -> Tuple[Callable, bool]:
-        """``(maker, allocates)``: *maker(env)* builds the argument —
-        the variable itself, a constant, or a new thunk (counted by
-        the caller when *allocates*)."""
-        t = type(expr)
-        if t is CVar:
-            return self.getter(expr.name, scope), False
-        value = _const(expr)
-        if value is not None:
-            return (lambda env: value), False
-        (box, stub), = self.lazy([expr], scope)
+    def site(self, expr: CoreExpr, scope: Optional[_Scope]) -> List[Any]:
+        """A suspended expression, compiled when first forced: the list
+        ``[code, expr, scope, compiler]`` with ``code`` None until then.
+        Its thunks are ``[code, env]``, or ``[_lazy, (site, env)]``
+        while ``code`` is None; the site never refers to a thunk, so
+        code that is never forced forms no reference cycle."""
+        return [None, expr, scope, self]
 
-        def thunk(env):
-            return [box[0] or stub, env]
-        return thunk, True
-
-    def lazy(self, exprs: List[CoreExpr], scope: Optional[_Scope]
-             ) -> List[Tuple[List[Optional[Callable]], Callable]]:
-        """Code for suspended expressions, compiled when first forced:
-        one ``(box, stub)`` per expression, where ``box[0]`` is None
-        until ``stub`` compiles the expression into it (and runs it).
-        A thunk takes ``box[0] or stub``.  The stub refers to the box,
-        never the other way round, so code that is never forced forms
-        no reference cycle."""
-        compiler = self
-
-        def pair(expr: CoreExpr) -> Tuple[List[Optional[Callable]],
-                                          Callable]:
-            box: List[Optional[Callable]] = [None]
-
-            def stub(env):
-                code = box[0]
-                if code is None:
-                    code = box[0] = compiler.code(expr, scope)
-                return code(env)
-            return box, stub
-        return [pair(expr) for expr in exprs]
-
-    def args(self, exprs: List[CoreExpr], scope: Optional[_Scope]):
+    def args(self, exprs: List[CoreExpr], scope: Optional[_Scope]
+             ) -> Tuple[List[Callable], int]:
+        """``(makers, allocs)``: ``makers[i](env)`` builds argument *i*
+        — the variable itself, a constant, or a new thunk; *allocs*
+        counts the thunks."""
         makers = []
         allocs = 0
         for expr in exprs:
-            maker, allocates = self.arg(expr, scope)
-            makers.append(maker)
-            allocs += allocates
+            if type(expr) is CVar:
+                makers.append(self.getter(expr.name, scope))
+                continue
+            value = _const(expr)
+            if value is not None:
+                makers.append(lambda env, value=value: value)
+                continue
+            makers.append(lambda env, site=self.site(expr, scope):
+                          [_lazy, (site, env)] if site[0] is None
+                          else [site[0], env])
+            allocs += 1
         return makers, allocs
 
     # -------------------------------------------------------------- code
@@ -626,29 +622,17 @@ class _Compiler:
         raise EvalError(f"cannot evaluate core node {expr!r}")
 
     def var(self, expr: CVar, scope: Optional[_Scope]) -> Callable:
-        rt = self.rt
         where = self.resolve(expr.name, scope)
-        if where is not None and where[0] <= 1:
-            depth, slot = where
-            if depth == 0:
-                def var0(env):
-                    s = rt.steps + 1
-                    rt.steps = s
-                    if s > rt.limit:
-                        rt.out_of_steps()
-                    return env[slot]
-                return var0
-
-            def var1(env):
+        if where is not None and where[0] == 0:
+            def var0(env, rt=self.rt, slot=where[1]):
                 s = rt.steps + 1
                 rt.steps = s
                 if s > rt.limit:
                     rt.out_of_steps()
-                return env[0][slot]
-            return var1
-        get = self.getter(expr.name, scope)
+                return env[slot]
+            return var0
 
-        def var(env):
+        def var(env, rt=self.rt, get=self.getter(expr.name, scope)):
             s = rt.steps + 1
             rt.steps = s
             if s > rt.limit:
@@ -657,23 +641,19 @@ class _Compiler:
         return var
 
     def const(self, expr: CoreExpr) -> Callable:
-        rt = self.rt
         value = _const(expr)
+        if value is None and type(expr) is not CCon:
+            def string(env, rt=self.rt, text=expr.value):
+                s = rt.steps + 1
+                rt.steps = s
+                if s > rt.limit:
+                    rt.out_of_steps()
+                return _string(text)
+            return string
         if value is None:
-            if type(expr) is CCon:
-                value = VPartialCon(expr.name, expr.arity)
-            else:
-                text = expr.value
+            value = VPartialCon(expr.name, expr.arity)
 
-                def string(env):
-                    s = rt.steps + 1
-                    rt.steps = s
-                    if s > rt.limit:
-                        rt.out_of_steps()
-                    return _string(text)
-                return string
-
-        def const(env):
+        def const(env, rt=self.rt, value=value):
             s = rt.steps + 1
             rt.steps = s
             if s > rt.limit:
@@ -682,10 +662,11 @@ class _Compiler:
         return const
 
     def lam(self, expr: CLam, scope: Optional[_Scope]) -> Callable:
-        rt = self.rt
         lam = _Lam(expr, _Scope(expr.params, scope), self)
+        if self.lams is not None:
+            self.lams.append(lam)
 
-        def closure(env):
+        def closure(env, rt=self.rt, lam=lam):
             s = rt.steps + 1
             rt.steps = s
             if s > rt.limit:
@@ -702,77 +683,65 @@ class _Compiler:
         chain, and otherwise in a copy of the frame so far, so only a
         ``letrec`` makes a frame refer to itself (as it must).  Each
         ``let`` still counts its step, then its allocations."""
-        rt = self.rt
         frame_scope: Optional[_Scope] = scope
-        specs = []  # (box, stub, env) per binding; env: 0 outer, -1 frame
+        specs = []  # (site, env) per binding; env: 0 outer, -1 frame
         per_let: List[int] = []
         n = 0
         while type(expr) is CLet:
             names = [name for name, _ in expr.binds]
             grown = _Scope(names, scope, n + 1,
                            {} if frame_scope is scope else frame_scope.slots)
-            if expr.recursive:
-                pairs = self.lazy([e for _, e in expr.binds], grown)
-                specs.extend((box, stub, -1) for box, stub in pairs)
-            else:
-                for _, rhs in expr.binds:
-                    if n and _mentions(rhs, frame_scope.slots):
-                        (box, stub), = self.lazy([rhs], frame_scope)
-                        specs.append((box, stub, n))
-                    else:
-                        (box, stub), = self.lazy([rhs], scope)
-                        specs.append((box, stub, 0))
+            for _, rhs in expr.binds:
+                if expr.recursive:
+                    specs.append((self.site(rhs, grown), -1))
+                elif n and _mentions(rhs, frame_scope.slots):
+                    specs.append((self.site(rhs, frame_scope), n))
+                else:
+                    specs.append((self.site(rhs, scope), 0))
             per_let.append(len(names))
             n += len(names)
             frame_scope = grown
             expr = expr.body
         body = self.code(expr, frame_scope)
         k = len(per_let)
+        per_let_t = tuple(per_let)
 
-        def out_of_steps() -> None:
-            for allocs in per_let:
-                rt.steps += 1
-                if rt.steps > rt.limit:
-                    rt.out_of_steps()
-                rt.allocations += allocs
-
-        if n == 1 and specs[0][2] == 0:
-            box0, stub0, _ = specs[0]
-
-            def let1(env):
+        if n == 1 and specs[0][1] == 0:
+            def let1(env, rt=self.rt, body=body, site=specs[0][0],
+                     per_let=per_let_t):
                 s = rt.steps + 1
                 if s > rt.limit:
-                    out_of_steps()
+                    _let_out_of_steps(rt, per_let)
                 rt.steps = s
                 rt.allocations += 1
-                return body, [env, [box0[0] or stub0, env]]
+                code = site[0]
+                if code is None:
+                    return body, [env, [_lazy, (site, env)]]
+                return body, [env, [code, env]]
             return let1
 
-        def let(env):
+        def let(env, rt=self.rt, body=body, specs=tuple(specs), k=k, n=n,
+                per_let=per_let_t):
             s = rt.steps + k
             if s > rt.limit:
-                out_of_steps()
+                _let_out_of_steps(rt, per_let)
             rt.steps = s
             rt.allocations += n
             frame = [env]
-            for box, stub, where in specs:
-                if where == 0:
-                    frame.append([box[0] or stub, env])
-                elif where < 0:
-                    frame.append([box[0] or stub, frame])
-                else:
-                    frame.append([box[0] or stub, frame[:where + 1]])
+            for site, where in specs:
+                e = env if where == 0 else frame if where < 0 \
+                    else frame[:where + 1]
+                code = site[0]
+                frame.append([_lazy, (site, e)] if code is None
+                             else [code, e])
             return body, frame
         return let
 
     def tuple(self, expr: CoreExpr, scope: Optional[_Scope]) -> Callable:
-        rt = self.rt
         makers, allocs = self.args(expr.items, scope)
-        allocs += 1
         if type(expr) is CDict:
-            tag = expr.tag
-
-            def dictionary(env):
+            def dictionary(env, rt=self.rt, makers=tuple(makers),
+                           allocs=allocs + 1, tag=expr.tag):
                 s = rt.steps + 1
                 rt.steps = s
                 if s > rt.limit:
@@ -782,7 +751,7 @@ class _Compiler:
                 return VDict([mk(env) for mk in makers], tag)
             return dictionary
 
-        def tup(env):
+        def tup(env, rt=self.rt, makers=tuple(makers), allocs=allocs + 1):
             s = rt.steps + 1
             rt.steps = s
             if s > rt.limit:
@@ -794,45 +763,11 @@ class _Compiler:
     def operand(self, expr: CoreExpr,
                 scope: Optional[_Scope]) -> Callable:
         """env -> the forced value of *expr*, evaluated one level
-        deeper (a case scrutinee, an application head, a selection
-        operand)."""
-        rt = self.rt
-        force = rt.force
+        deeper (an application head or a case scrutinee that is not a
+        variable, a selection operand)."""
         if type(expr) is CVar:
-            where = self.resolve(expr.name, scope)
-            if where is not None and where[0] <= 1:
-                depth, slot = where
-                if depth == 0:
-                    def var0_operand(env):
-                        d = rt.depth + 1
-                        if d > rt.mark:
-                            rt.grow(d)
-                        s = rt.steps + 1
-                        rt.steps = s
-                        if s > rt.limit:
-                            rt.out_of_steps()
-                        v = env[slot]
-                        if type(v) is list:
-                            return v[1] if v[0] is None else force(v)
-                        return v
-                    return var0_operand
-
-                def var1_operand(env):
-                    d = rt.depth + 1
-                    if d > rt.mark:
-                        rt.grow(d)
-                    s = rt.steps + 1
-                    rt.steps = s
-                    if s > rt.limit:
-                        rt.out_of_steps()
-                    v = env[0][slot]
-                    if type(v) is list:
-                        return v[1] if v[0] is None else force(v)
-                    return v
-                return var1_operand
-            get = self.getter(expr.name, scope)
-
-            def var_operand(env):
+            def var_operand(env, rt=self.rt, force=self.force,
+                            get=self.getter(expr.name, scope)):
                 d = rt.depth + 1
                 if d > rt.mark:
                     rt.grow(d)
@@ -845,9 +780,9 @@ class _Compiler:
                     return v[1] if v[0] is None else force(v)
                 return v
             return var_operand
-        code = self.code(expr, scope)
 
-        def operand(env):
+        def operand(env, rt=self.rt, force=self.force,
+                    code=self.code(expr, scope)):
             d = rt.depth + 1
             if d > rt.mark:
                 rt.grow(d)
@@ -864,12 +799,8 @@ class _Compiler:
         return operand
 
     def sel(self, expr: CSel, scope: Optional[_Scope]) -> Callable:
-        rt = self.rt
-        operand = self.operand(expr.expr, scope)
-        index = expr.index
-        from_dict = expr.from_dict
-
-        def sel(env):
+        def sel(env, rt=self.rt, operand=self.operand(expr.expr, scope),
+                index=expr.index, from_dict=expr.from_dict):
             s = rt.steps + 1
             rt.steps = s
             if s > rt.limit:
@@ -885,8 +816,6 @@ class _Compiler:
         return sel
 
     def case(self, expr: CCase, scope: Optional[_Scope]) -> Callable:
-        rt = self.rt
-        force = rt.force
         # A variable scrutinee (the usual case) is evaluated inline.
         get = scrutinee = None
         if type(expr.scrutinee) is CVar:
@@ -894,7 +823,6 @@ class _Compiler:
         else:
             scrutinee = self.operand(expr.scrutinee, scope)
         alts = expr.alts
-        has_binders = [bool(alt.binders) for alt in alts]
         # First match wins, as in a top-to-bottom scan.
         by_con: Dict[str, int] = {}
         by_width: Dict[int, int] = {}
@@ -905,21 +833,18 @@ class _Compiler:
         by_lit: Dict[Any, CoreExpr] = {}
         for lalt in expr.lit_alts:
             by_lit.setdefault(lalt.value, lalt.body)
+        # Alternative bodies compile on first entry: bodies[i] for
+        # alts[i], then the literal alternatives by value, then the
+        # default (under the key None).
         bodies: List[Optional[Callable]] = [None] * len(alts)
-        lit_codes: Dict[Any, Callable] = {}
-        default = expr.default
-        default_code: List[Optional[Callable]] = [None]
-        compiler = self
+        others: Dict[Any, Callable] = {}
 
-        def alt_code(i: int) -> Callable:
-            code = bodies[i]
-            if code is None:
-                alt = alts[i]
-                inner = _Scope(alt.binders, scope) if alt.binders else scope
-                code = bodies[i] = compiler.code(alt.body, inner)
-            return code
-
-        def case(env):
+        def case(env, rt=self.rt, force=self.force, get=get,
+                 scrutinee=scrutinee, by_con=by_con, by_width=by_width,
+                 bodies=bodies, alts=alts,
+                 has_binders=tuple(bool(alt.binders) for alt in alts),
+                 by_lit=by_lit, others=others, default=expr.default,
+                 scope=scope, compiler=self):
             if get is None:
                 s = rt.steps + 1
                 rt.steps = s
@@ -929,7 +854,7 @@ class _Compiler:
             else:
                 s = rt.steps + 2
                 if s > rt.limit:
-                    _step_then_enter(rt, 1)
+                    _step_then_enter(rt)
                 d = rt.depth + 1
                 if d > rt.mark:
                     rt.steps = s - 1
@@ -942,74 +867,76 @@ class _Compiler:
             if t is VCon:
                 i = by_con.get(scrut.name)
                 if i is not None:
-                    code = bodies[i] or alt_code(i)
+                    code = bodies[i] or compiler.alt(bodies, alts, i, scope)
                     if has_binders[i]:
                         return code, [env, *scrut.args]
                     return code, env
             elif t is VTuple or t is VDict:
                 i = by_width.get(len(scrut.items))
                 if i is not None:
-                    code = bodies[i] or alt_code(i)
+                    code = bodies[i] or compiler.alt(bodies, alts, i, scope)
                     if has_binders[i]:
                         return code, [env, *scrut.items]
                     return code, env
             elif t is VInt or t is VChar or t is VFloat:
                 raw = scrut.value
-                code = lit_codes.get(raw)
+                code = others.get(raw)
                 if code is None:
-                    body = by_lit.get(raw)
-                    if body is not None:
-                        code = lit_codes[raw] = compiler.code(body, scope)
+                    lit_body = by_lit.get(raw)
+                    if lit_body is not None:
+                        code = others[raw] = compiler.code(lit_body, scope)
                 if code is not None:
                     return code, env
             if default is not None:
-                code = default_code[0]
+                code = others.get(None)
                 if code is None:
-                    code = default_code[0] = compiler.code(default, scope)
+                    code = others[None] = compiler.code(default, scope)
                 return code, env
             raise EvalError(f"no matching case alternative for {scrut!r}")
         return case
 
+    def alt(self, bodies: List[Optional[Callable]], alts: List[Any],
+            i: int, scope: Optional[_Scope]) -> Callable:
+        """Compile case alternative *i* on its first entry."""
+        alt = alts[i]
+        inner = _Scope(alt.binders, scope) if alt.binders else scope
+        code = bodies[i] = self.code(alt.body, inner)
+        return code
+
     def app(self, expr: CApp, scope: Optional[_Scope]) -> Callable:
-        rt = self.rt
-        head_expr = expr
+        head = expr
         arg_exprs: List[CoreExpr] = []
-        while type(head_expr) is CApp:
-            arg_exprs.append(head_expr.arg)
-            head_expr = head_expr.fn
+        while type(head) is CApp:
+            arg_exprs.append(head.arg)
+            head = head.fn
         arg_exprs.reverse()
         makers, allocs = self.args(arg_exprs, scope)
         n = len(makers)
 
-        if type(head_expr) is CCon and head_expr.arity == n:
+        if type(head) is CCon and head.arity == n:
             # A saturated constructor: what evaluating the head and
             # applying the partial constructor would do, in one go.
-            name = head_expr.name
-            mk0, mk1 = makers if n == 2 else (None, None)
-
-            def con(env):
+            def con(env, rt=self.rt, name=head.name, makers=tuple(makers),
+                    allocs=allocs + 1):
                 s = rt.steps + 2
                 if s > rt.limit:
-                    _step_then_enter(rt, 1)
+                    _step_then_enter(rt)
                 d = rt.depth + 1
                 if d > rt.mark:
                     rt.steps = s - 1
                     rt.grow(d)
                 rt.steps = s
-                if n == 2:
-                    args = [mk0(env), mk1(env)]
-                else:
-                    args = [mk(env) for mk in makers]
-                rt.allocations += allocs + 1
+                args = [mk(env) for mk in makers]
+                rt.allocations += allocs
                 return VCon(name, args)
             return con
 
-        if type(head_expr) is CVar:
-            return self.app_var(self.getter(head_expr.name, scope),
+        if type(head) is CVar:
+            return self.app_var(self.getter(head.name, scope),
                                 makers, allocs)
-        head = self.operand(head_expr, scope)
 
-        def app(env):
+        def app(env, rt=self.rt, head=self.operand(head, scope),
+                makers=tuple(makers), allocs=allocs):
             s = rt.steps + 1
             rt.steps = s
             if s > rt.limit:
@@ -1027,16 +954,15 @@ class _Compiler:
         done inline, and a closure or primitive of exactly the arity
         supplied is entered without :func:`_apply`."""
         rt = self.rt
-        force = rt.force
+        force = self.force
         n = len(makers)
 
         if n == 1:
-            mk0, = makers
-
-            def app1(env):
+            def app1(env, rt=rt, force=force, get=get, mk0=makers[0],
+                     allocs=allocs):
                 s = rt.steps + 2
                 if s > rt.limit:
-                    _step_then_enter(rt, 1)
+                    _step_then_enter(rt)
                 d = rt.depth + 1
                 if d > rt.mark:
                     rt.steps = s - 1
@@ -1064,12 +990,11 @@ class _Compiler:
             return app1
 
         if n == 2:
-            mk0, mk1 = makers
-
-            def app2(env):
+            def app2(env, rt=rt, force=force, get=get, mk0=makers[0],
+                     mk1=makers[1], allocs=allocs):
                 s = rt.steps + 2
                 if s > rt.limit:
-                    _step_then_enter(rt, 1)
+                    _step_then_enter(rt)
                 d = rt.depth + 1
                 if d > rt.mark:
                     rt.steps = s - 1
@@ -1097,10 +1022,11 @@ class _Compiler:
                 return _apply(rt, fn, [a, b])
             return app2
 
-        def app(env):
+        def app(env, rt=rt, force=force, get=get, makers=tuple(makers),
+                allocs=allocs, n=n):
             s = rt.steps + 2
             if s > rt.limit:
-                _step_then_enter(rt, 1)
+                _step_then_enter(rt)
             d = rt.depth + 1
             if d > rt.mark:
                 rt.steps = s - 1
@@ -1128,16 +1054,34 @@ class _Compiler:
         return app
 
 
-def _step_then_enter(rt: Runtime, steps: int) -> None:
-    """Replay, one event at a time, a batch of *steps* + 1 steps known
-    to run past the step limit, whose last step belongs to a nested
-    evaluation entered after the first *steps*: the first step over the
-    limit raises, unless entering the nested evaluation exceeds the
-    depth limit first."""
-    for _ in range(steps):
+def _lazy(suspended: Tuple[List[Any], Any]) -> Any:
+    """Code of a thunk whose expression is not compiled yet: compile it
+    (once per site) and run it."""
+    site, env = suspended
+    code = site[0]
+    if code is None:
+        code = site[0] = site[3].code(site[1], site[2])
+    return code(env)
+
+
+def _let_out_of_steps(rt: Runtime, per_let: Tuple[int, ...]) -> None:
+    """Replay a ``let`` chain's steps and allocations one ``let`` at a
+    time, raising at the first step over the limit."""
+    for allocs in per_let:
         rt.steps += 1
         if rt.steps > rt.limit:
             rt.out_of_steps()
+        rt.allocations += allocs
+
+
+def _step_then_enter(rt: Runtime) -> None:
+    """Replay, one event at a time, two steps known to run past the step
+    limit: a node's own step, then — one evaluation deeper — its
+    operand's.  The first step over the limit raises, unless entering
+    the operand's evaluation exceeds the depth limit first."""
+    rt.steps += 1
+    if rt.steps > rt.limit:
+        rt.out_of_steps()
     d = rt.depth + 1
     if d > rt.mark:
         rt.grow(d)
@@ -1155,18 +1099,21 @@ class Globals:
     never removed, so compiled code can address them by slot."""
 
     def __init__(self, rt: Runtime) -> None:
-        self.frame: List[Any] = [None]
+        frame: List[Any] = [None]
+        self.frame = frame
         self.index: Dict[str, int] = {}
         compiler = self.compiler = _Compiler(rt, self.index)
-        exprs: Dict[int, CoreExpr] = {}
+        #: the expression bound at each slot, and its code once compiled
+        exprs: List[Optional[CoreExpr]] = [None]
         codes: Dict[int, Callable] = {}
         self._exprs = exprs
         self._codes = codes
 
-        def top(where):
-            # A top-level thunk's frame slot holds (frame, slot): the
-            # binding's code is compiled on first use, once per slot.
-            frame, slot = where
+        def top(slot):
+            # A top-level thunk is [top, slot]: the binding's code is
+            # compiled on first use, once per slot.  (This refers to
+            # the frame, whose thunks refer to this: the evaluator
+            # empties the frame when it goes.)
             code = codes.get(slot)
             if code is None:
                 code = codes[slot] = compiler.code(exprs[slot], None)
@@ -1192,16 +1139,20 @@ class Globals:
         if slot is None:
             slot = self.index[name] = len(self.frame)
             self.frame.append(value)
+            self._exprs.append(None)
         else:
             self.frame[slot] = value
         return slot
+
+    def forget_code(self) -> None:
+        self._codes.clear()
 
     def define(self, name: str, expr: CoreExpr) -> None:
         """Bind *name* to a thunk of *expr*, compiled when first forced."""
         slot = self.bind(name, None)
         self._exprs[slot] = expr
         self._codes.pop(slot, None)
-        self.frame[slot] = [self._top, (self.frame, slot)]
+        self.frame[slot] = [self._top, slot]
 
 
 class Evaluator:
@@ -1226,15 +1177,17 @@ class Evaluator:
 
     def __del__(self) -> None:
         # The top-level frame and its thunks refer to each other (a
-        # top-level function's closure captures the frame it lives in),
-        # and compiled code hangs off that cycle.  Emptying the frame
-        # when the evaluator goes lets reference counting free it all,
-        # instead of leaving every compiled closure to the cycle
-        # collector.  A value obtained from this evaluator must be
-        # forced (or converted) before the evaluator is dropped.
+        # top-level function's closure captures the frame it lives in,
+        # a thunk's code finds it through the frame), and compiled code
+        # hangs off that cycle; so do the lambdas the compiler tracks.
+        # Breaking both when the evaluator goes lets reference counting
+        # free it all, instead of leaving every compiled closure to the
+        # cycle collector.  A value obtained from this evaluator must
+        # be forced (or converted) before the evaluator is dropped.
         globals_ = getattr(self, "globals", None)
         if globals_ is not None:
             globals_.frame.clear()
+            globals_.compiler.lams = None
 
     # The limits live on the runtime, where compiled code reads them.
 
@@ -1277,6 +1230,18 @@ class Evaluator:
 
     def force(self, value: Any) -> Value:
         return self.stats.force(value)
+
+    def forget_code(self) -> None:
+        """Drop the compiled code (it compiles again when next run),
+        then keep all code compiled from here on.  An evaluator pool
+        calls this when it first keeps an evaluator, so only those that
+        serve a second request hold compiled code — most programs a
+        server caches are evaluated once."""
+        compiler = self.globals.compiler
+        for lam in compiler.lams or ():
+            lam.body = None
+        compiler.lams = None
+        self.globals.forget_code()
 
     def deep(self, value: Any) -> Value:
         """Force *value* and, iteratively, every component — used to

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import MonomorphismWarning
 from repro.limits import ensure_recursion_headroom, recursion_fence
@@ -210,19 +210,25 @@ class CompiledProgram:
     _EVAL_POOL_EXTRAS = 8192
     _EVAL_POOL_SIZE = 4
 
-    def _acquire_evaluator(self, reuse: bool) -> Evaluator:
+    def _acquire_evaluator(self, reuse: bool) -> Tuple[Evaluator, bool]:
+        """An evaluator, and whether it comes from the pool."""
         if reuse:
             with self._lock:
                 if self._eval_pool:
-                    return self._eval_pool.pop()
-        return self.evaluator()
+                    return self._eval_pool.pop(), True
+        return self.evaluator(), False
 
-    def _release_evaluator(self, evaluator: Evaluator) -> None:
+    def _release_evaluator(self, evaluator: Evaluator,
+                           pooled: bool) -> None:
         baseline = len(self.core.bindings) + self._EVAL_POOL_EXTRAS
         if len(evaluator.globals) > baseline:
             return  # retired: too many per-expression helper bindings
         with self._lock:
             if len(self._eval_pool) < self._EVAL_POOL_SIZE:
+                if not pooled:
+                    # Joining the pool: its compiled code is kept only
+                    # once it serves a second request.
+                    evaluator.forget_code()
                 self._eval_pool.append(evaluator)
 
     def eval_compiled(self, compiled: "CompiledExpr", deep: bool = True,
@@ -242,7 +248,7 @@ class CompiledProgram:
         request.  ``last_stats`` always reports this evaluation alone.
         """
         reuse = reuse and not overrides
-        evaluator = self._acquire_evaluator(reuse)
+        evaluator, pooled = self._acquire_evaluator(reuse)
         for binding in compiled.core_extra:
             if binding.name not in evaluator.globals:
                 evaluator.globals.define(binding.name, binding.expr)
@@ -277,7 +283,7 @@ class CompiledProgram:
                 stats = delta
             self.last_stats = stats
             if ok and reuse:
-                self._release_evaluator(evaluator)
+                self._release_evaluator(evaluator, pooled)
         return result
 
     def type_of(self, source: str) -> str:
