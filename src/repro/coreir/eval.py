@@ -64,7 +64,7 @@ request runs a small part of the program it compiles.
 
 A thunk is a two-slot list: ``[code, frame]`` while suspended,
 ``[None, value]`` once evaluated (under call-by-need), with
-``_BLACKHOLE`` in the code slot while it is being forced — a list is
+``_blackhole`` in the code slot while it is being forced — a list is
 several times cheaper to allocate than an instance, and thunks are the
 most frequent allocation.  Compiled code reaches counters and limits
 through a :class:`Runtime` and never refers to the evaluator or its
@@ -214,11 +214,9 @@ class VPartialCon(Value):
 
 
 def _blackhole(env: Any) -> Any:
-    """Code slot of a thunk being forced (never called)."""
+    """The code of a thunk while it is being forced; :meth:`Runtime.force`
+    reports the loop before calling it."""
     raise EvalError("<<loop>>: value depends on itself")
-
-
-_BLACKHOLE = _blackhole
 
 
 # --------------------------------------------------------------------------
@@ -329,9 +327,9 @@ class Runtime(EvalStats):
         code = value[0]
         if code is None:
             return value[1]
-        if code is _BLACKHOLE:
+        if code is _blackhole:
             raise EvalError("<<loop>>: value depends on itself")
-        value[0] = _BLACKHOLE
+        value[0] = _blackhole
         d = self.depth + 1
         try:
             if d > self.mark:
@@ -496,8 +494,8 @@ def _mentions(expr: CoreExpr, names: Dict[str, int]) -> bool:
 
 
 def _getter(depth: int, slot: int) -> Callable[[List[Any]], Any]:
-    """env -> the variable at (*depth*, *slot*); shared, as it depends
-    on nothing else."""
+    """env -> the variable at (*depth*, *slot*); the common ones are
+    shared, as a getter depends on nothing else."""
     get = _GETTERS.get((depth, slot))
     if get is not None:
         return get
@@ -512,10 +510,12 @@ def _getter(depth: int, slot: int) -> Callable[[List[Any]], Any]:
             for _ in range(depth):
                 env = env[0]
             return env[slot]
-    _GETTERS[(depth, slot)] = get
+    if depth < 8 and slot < 4096:
+        _GETTERS[(depth, slot)] = get
     return get
 
 
+#: (depth, slot) -> getter, for positions below the bounds above
 _GETTERS: Dict[Tuple[int, int], Callable[[List[Any]], Any]] = {}
 
 
@@ -1145,6 +1145,7 @@ class Globals:
         return slot
 
     def forget_code(self) -> None:
+        """Drop the compiled code of the top-level bindings."""
         self._codes.clear()
 
     def define(self, name: str, expr: CoreExpr) -> None:
