@@ -622,16 +622,6 @@ class _Compiler:
         raise EvalError(f"cannot evaluate core node {expr!r}")
 
     def var(self, expr: CVar, scope: Optional[_Scope]) -> Callable:
-        where = self.resolve(expr.name, scope)
-        if where is not None and where[0] == 0:
-            def var0(env, rt=self.rt, slot=where[1]):
-                s = rt.steps + 1
-                rt.steps = s
-                if s > rt.limit:
-                    rt.out_of_steps()
-                return env[slot]
-            return var0
-
         def var(env, rt=self.rt, get=self.getter(expr.name, scope)):
             s = rt.steps + 1
             rt.steps = s
@@ -703,25 +693,9 @@ class _Compiler:
             frame_scope = grown
             expr = expr.body
         body = self.code(expr, frame_scope)
-        k = len(per_let)
-        per_let_t = tuple(per_let)
 
-        if n == 1 and specs[0][1] == 0:
-            def let1(env, rt=self.rt, body=body, site=specs[0][0],
-                     per_let=per_let_t):
-                s = rt.steps + 1
-                if s > rt.limit:
-                    _let_out_of_steps(rt, per_let)
-                rt.steps = s
-                rt.allocations += 1
-                code = site[0]
-                if code is None:
-                    return body, [env, [_lazy, (site, env)]]
-                return body, [env, [code, env]]
-            return let1
-
-        def let(env, rt=self.rt, body=body, specs=tuple(specs), k=k, n=n,
-                per_let=per_let_t):
+        def let(env, rt=self.rt, body=body, specs=tuple(specs),
+                k=len(per_let), n=n, per_let=tuple(per_let)):
             s = rt.steps + k
             if s > rt.limit:
                 _let_out_of_steps(rt, per_let)
@@ -953,77 +927,8 @@ class _Compiler:
         them): the head's evaluation — one level deeper, one step — is
         done inline, and a closure or primitive of exactly the arity
         supplied is entered without :func:`_apply`."""
-        rt = self.rt
-        force = self.force
-        n = len(makers)
-
-        if n == 1:
-            def app1(env, rt=rt, force=force, get=get, mk0=makers[0],
-                     allocs=allocs):
-                s = rt.steps + 2
-                if s > rt.limit:
-                    _step_then_enter(rt)
-                d = rt.depth + 1
-                if d > rt.mark:
-                    rt.steps = s - 1
-                    rt.grow(d)
-                rt.steps = s
-                fn = get(env)
-                if type(fn) is list:
-                    fn = fn[1] if fn[0] is None else force(fn)
-                a = mk0(env)
-                rt.allocations += allocs
-                t = type(fn)
-                if t is VClosure:
-                    lam = fn.lam
-                    if lam.arity == 1 and not fn.applied:
-                        rt.fun_calls += 1
-                        return lam.body or lam.compile(), [fn.env, a]
-                elif t is VPrim:
-                    if fn.arity == 1 and not fn.applied:
-                        rt.prim_calls += 1
-                        r = fn.fn(rt, a)
-                        if type(r) is list:
-                            return r[1] if r[0] is None else force(r)
-                        return r
-                return _apply(rt, fn, [a])
-            return app1
-
-        if n == 2:
-            def app2(env, rt=rt, force=force, get=get, mk0=makers[0],
-                     mk1=makers[1], allocs=allocs):
-                s = rt.steps + 2
-                if s > rt.limit:
-                    _step_then_enter(rt)
-                d = rt.depth + 1
-                if d > rt.mark:
-                    rt.steps = s - 1
-                    rt.grow(d)
-                rt.steps = s
-                fn = get(env)
-                if type(fn) is list:
-                    fn = fn[1] if fn[0] is None else force(fn)
-                a = mk0(env)
-                b = mk1(env)
-                rt.allocations += allocs
-                t = type(fn)
-                if t is VClosure:
-                    lam = fn.lam
-                    if lam.arity == 2 and not fn.applied:
-                        rt.fun_calls += 1
-                        return lam.body or lam.compile(), [fn.env, a, b]
-                elif t is VPrim:
-                    if fn.arity == 2 and not fn.applied:
-                        rt.prim_calls += 1
-                        r = fn.fn(rt, a, b)
-                        if type(r) is list:
-                            return r[1] if r[0] is None else force(r)
-                        return r
-                return _apply(rt, fn, [a, b])
-            return app2
-
-        def app(env, rt=rt, force=force, get=get, makers=tuple(makers),
-                allocs=allocs, n=n):
+        def app(env, rt=self.rt, force=self.force, get=get,
+                makers=tuple(makers), allocs=allocs, n=len(makers)):
             s = rt.steps + 2
             if s > rt.limit:
                 _step_then_enter(rt)
@@ -1221,7 +1126,9 @@ class Evaluator:
     # ------------------------------------------------------------ driving
 
     def run(self, name: str) -> Value:
-        """Force the top-level binding *name* to weak head normal form."""
+        """Force the top-level binding *name* to weak head normal form.
+        The value's unevaluated parts need this evaluator: convert it
+        (:func:`value_to_python`, :meth:`deep`) before dropping it."""
         return self.force(self.globals.lookup(name))
 
     def run_expr(self, expr: CoreExpr) -> Value:

@@ -347,8 +347,7 @@ class PyProgram:
         globals_map: Dict[str, Any] = dict(pyrt.primitives(self.counters))
         self.globals = namespace["_init"](pyrt, self.counters, globals_map)
 
-    def run(self, name: str = "main", deep: bool = True,
-            big_stack: bool = True) -> Any:
+    def run(self, name: str = "main", deep: bool = True) -> Any:
         def go() -> Any:
             with recursion_fence(f"compiled evaluation of '{name}'"):
                 try:
@@ -360,4 +359,4 @@ class PyProgram:
                         f"eval_depth_limit for deeply recursive programs",
                         limit="eval_depth_limit") from None
 
-        return with_big_stack(go) if big_stack else go()
+        return with_big_stack(go)

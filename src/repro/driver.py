@@ -132,8 +132,8 @@ class CompiledProgram:
         return Evaluator(self.core, PRIMITIVES(), call_by_need=call_by_need,
                          step_limit=step_limit, max_depth=max_depth)
 
-    def run(self, name: str = "main", deep: bool = True,
-            big_stack: bool = True, **overrides: Any) -> Any:
+    def run(self, name: str = "main", big_stack: bool = True,
+            **overrides: Any) -> Any:
         """Evaluate the top-level binding *name* to a Python value.
 
         Deep work runs on a dedicated big-stack thread by default —
@@ -146,10 +146,7 @@ class CompiledProgram:
 
         def go() -> Any:
             with recursion_fence(f"evaluation of '{name}'"):
-                value = evaluator.run(name)
-                if deep:
-                    return value_to_python(evaluator, value)
-                return value
+                return value_to_python(evaluator, evaluator.run(name))
 
         try:
             result = with_big_stack(go) if big_stack else go()
@@ -193,7 +190,7 @@ class CompiledProgram:
         return CompiledExpr(source=source, core_expr=core_expr,
                             core_extra=tuple(core_extra))
 
-    def eval(self, source: str, deep: bool = True, big_stack: bool = True,
+    def eval(self, source: str, big_stack: bool = True,
              **overrides: Any) -> Any:
         """Type check and evaluate an expression in this program's
         scope (e.g. ``program.eval("member 2 [1,2,3]")``).
@@ -201,7 +198,7 @@ class CompiledProgram:
         As with :meth:`run`, evaluation uses a big-stack thread by
         default instead of mutating the caller's recursion limit.
         """
-        return self.eval_compiled(self.compile_expr(source), deep=deep,
+        return self.eval_compiled(self.compile_expr(source),
                                   big_stack=big_stack, **overrides)
 
     # Cap on generated-name bindings a pooled evaluator may accumulate
@@ -231,7 +228,7 @@ class CompiledProgram:
                     evaluator.forget_code()
                 self._eval_pool.append(evaluator)
 
-    def eval_compiled(self, compiled: "CompiledExpr", deep: bool = True,
+    def eval_compiled(self, compiled: "CompiledExpr",
                       big_stack: bool = True, reuse: bool = False,
                       **overrides: Any) -> Any:
         """Evaluate a :class:`CompiledExpr` produced by
@@ -264,10 +261,8 @@ class CompiledProgram:
 
         def go() -> Any:
             with recursion_fence("expression evaluation"):
-                value = evaluator.run_expr(compiled.core_expr)
-                if deep:
-                    return value_to_python(evaluator, value)
-                return value
+                return value_to_python(
+                    evaluator, evaluator.run_expr(compiled.core_expr))
 
         ok = False
         try:
