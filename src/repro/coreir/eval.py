@@ -1095,7 +1095,8 @@ class Evaluator:
         # Breaking both when the evaluator goes lets reference counting
         # free it all, instead of leaving every compiled closure to the
         # cycle collector.  A value obtained from this evaluator must
-        # be forced (or converted) before the evaluator is dropped.
+        # be converted (value_to_python, deep) before the evaluator is
+        # dropped: its unevaluated parts still read the frame.
         globals_ = getattr(self, "globals", None)
         if globals_ is not None:
             globals_.frame.clear()
