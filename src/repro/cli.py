@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import threading
+import time
 from typing import List, Optional
 
 from repro.driver import CompiledProgram, compile_source
@@ -98,6 +99,19 @@ def print_time_passes(program: CompiledProgram) -> None:
         print(trace.pretty(), file=sys.stderr)
 
 
+def print_eval_time(program: CompiledProgram, seconds: float) -> None:
+    """The ``--time-passes`` row for the evaluation that followed the
+    compile: wall time (with ``-e``, the expression's own type check
+    included) and evaluator steps, partial when it failed."""
+    trace = program.compile_stats.phases
+    stats = program.last_stats
+    if trace is not None:
+        steps = stats.steps if stats is not None else 0
+        print(trace.row("eval", 1, f"{seconds * 1e3:.3f}",
+                        f"steps={steps}"),
+              file=sys.stderr)
+
+
 def dump_after_observer(target: str):
     """An observer for ``--dump-after=<pass>``: pretty-print the
     program state right after the named pass runs.  After ``translate``
@@ -135,15 +149,21 @@ def cmd_run(args: argparse.Namespace) -> int:
         print_time_passes(program)
     for warning in program.warnings:
         print(str(warning), file=sys.stderr)
+    failure = None
+    start = time.perf_counter()
     try:
         if args.expr:
             result = program.eval(args.expr)
         else:
             result = program.run(args.entry)
     except ReproError as exc:
+        failure = exc
+    if args.time_passes:
+        print_eval_time(program, time.perf_counter() - start)
+    if failure is not None:
         # Quote the offending line: the expression text for -e errors,
         # the file for everything else (run-time limits included).
-        print(exc.pretty(args.expr if args.expr else source),
+        print(failure.pretty(args.expr if args.expr else source),
               file=sys.stderr)
         # The evaluator records its counters even on failure; --stats
         # reports the partial work so aborted runs are diagnosable.

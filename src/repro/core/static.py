@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import KindError, SourcePos, StaticError
+from repro.errors import KindError, Provenance, SourcePos, StaticError
 from repro.core.classes import (ClassEnv, ClassInfo, InstanceInfo, MethodInfo,
                                 MethodSet, MPInstanceInfo)
 from repro.core.kinds import (
@@ -459,7 +459,17 @@ def _process_class_decl(env: StaticEnv, decl: ast.ClassDecl) -> None:
                 unify_kinds(param_kinds[0], sinfo.tyvar_kind, decl.pos)
         schemes: List[Scheme] = []
         for sig in decl.signatures:
-            scheme_template = _method_scheme(env, decl, sig, param_kinds)
+            try:
+                scheme_template = _method_scheme(env, decl, sig,
+                                                 param_kinds)
+            except KindError as exc:
+                # The class variables' kinds are shared by every
+                # signature, so the conflict may involve an earlier
+                # one; name this signature as the site that exposed it.
+                pos = sig.pos or decl.pos
+                if pos is not None and pos != exc.pos:
+                    exc.positions.append(Provenance(pos, "method signature"))
+                raise
             schemes.append(scheme_template)
             for name in sig.names:
                 methods.append(MethodInfo(

@@ -415,6 +415,12 @@ def program_from_context(ctx: CompileContext) -> CompiledProgram:
     (shared by the cold path here and the snapshot fork path in
     :mod:`repro.service.snapshot`)."""
     inferencer = ctx.inferencer
+    # This compile's own dictionary-converted bindings (kernel AST) are
+    # dead once translated: ``compile_expr`` reads only the entries it
+    # appends itself.  Dropping them keeps a cached program from
+    # pinning its kernel AST; a snapshot fork's prelude entries are
+    # shared with the snapshot and stay.
+    del inferencer.output[ctx.n_prefix_bindings:]
     final = InferResult(ctx.compiled, inferencer.schemes,
                         inferencer.warnings, inferencer.env,
                         inferencer.unifier)

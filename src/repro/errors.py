@@ -255,6 +255,14 @@ class KindError(ReproError):
 
     code = "kind"
 
+    def __init__(self, message: str, pos: Optional[SourcePos] = None) -> None:
+        super().__init__(message, pos)
+        # Kind constraints are not replayed for a minimal core the way
+        # type constraints are; a kind error names at least its own
+        # site, as a type error outside the replayable set does.
+        if pos is not None:
+            self.positions.append(Provenance(pos, "error-site"))
+
 
 class TypeCheckError(ReproError):
     """Base class for errors raised during type inference proper."""

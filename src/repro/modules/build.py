@@ -491,7 +491,8 @@ def link_modules(artifacts: Sequence[ModuleArtifact],
     inferencer.warnings.extend(warnings)
     ctx = CompileContext.forked(options, [], static_env, inferencer,
                                 prefix_core=tuple(core),
-                                n_prefix_bindings=snapshot.n_bindings)
+                                n_prefix_bindings=snapshot.n_bindings,
+                                prefix_done=snapshot.prefix_done)
     ctx.imports_resolved = True
     ctx.module_origins = origins
     ctx.unfoldings = unfoldings

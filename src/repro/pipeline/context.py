@@ -13,13 +13,15 @@ Two constructors cover the two ways a compilation starts:
 * :meth:`CompileContext.forked` — a warm compile on top of a prelude
   snapshot fork: the environments come pre-seeded and the prelude's
   already-translated core is carried as a *prefix* that the translate
-  pass prepends (and whose compiled bindings it skips).
+  pass prepends (and whose compiled bindings it skips); the hoisting
+  and inner-entry-point passes splice in what they already made of
+  that prefix (``prefix_done``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.classes import ClassEnv
 from repro.core.infer import (
@@ -33,6 +35,7 @@ from repro.core.static import StaticEnv
 from repro.coreir.syntax import CoreBinding, CoreProgram
 from repro.options import CompilerOptions
 from repro.prelude import primitive_schemes
+from repro.transform.prefix import DonePrefix
 
 
 @dataclass
@@ -136,14 +139,20 @@ class PhaseTrace:
 
     def pretty(self) -> str:
         """The ``--time-passes`` table."""
-        width = max([len(t.name) for t in self._timings.values()] + [5])
-        lines = [f"{'pass':<{width}}  {'calls':>5}  {'ms':>9}"]
+        lines = [self.row("pass", "calls", "ms")]
         for timing in self._timings.values():
-            lines.append(f"{timing.name:<{width}}  {timing.calls:>5}  "
-                         f"{timing.seconds * 1e3:>9.3f}")
-        lines.append(f"{'total':<{width}}  {'':>5}  "
-                     f"{self.total_seconds() * 1e3:>9.3f}")
+            lines.append(self.row(timing.name, timing.calls,
+                                  f"{timing.seconds * 1e3:.3f}"))
+        lines.append(self.row("total", "",
+                              f"{self.total_seconds() * 1e3:.3f}"))
         return "\n".join(lines)
+
+    def row(self, name: str, calls: Any, ms: str, note: str = "") -> str:
+        """One line of the :meth:`pretty` table, aligned with it (the
+        CLI appends an evaluation row this way)."""
+        width = max([len(t) for t in self._timings] + [5])
+        line = f"{name:<{width}}  {calls:>5}  {ms:>9}"
+        return f"{line}  {note}" if note else line
 
 
 @dataclass
@@ -174,6 +183,10 @@ class CompileContext:
     #: how many entries of ``compiled`` the prefix covers (skipped by
     #: the translate pass)
     n_prefix_bindings: int = 0
+    #: by pass name, what a binding-local transform already made of the
+    #: prefix core (see :func:`repro.pipeline.passes.binding_local_prefix`);
+    #: the pass splices it in when the core starts with those bindings
+    prefix_done: Mapping[str, DonePrefix] = field(default_factory=dict)
     trace: PhaseTrace = field(default_factory=PhaseTrace)
     result: Optional[InferResult] = None
     #: extra operator fixities handed to the parser — the module build
@@ -223,12 +236,15 @@ class CompileContext:
                sources: Sequence[Tuple[str, str]],
                static_env: StaticEnv, inferencer: Inferencer,
                prefix_core: Tuple[CoreBinding, ...] = (),
-               n_prefix_bindings: int = 0) -> "CompileContext":
+               n_prefix_bindings: int = 0,
+               prefix_done: Optional[Mapping[str, DonePrefix]] = None
+               ) -> "CompileContext":
         """A warm compilation on a prelude-snapshot fork."""
         units = [SourceUnit(text, filename) for text, filename in sources]
         return cls(options, units, static_env, inferencer,
                    prefix_core=tuple(prefix_core),
-                   n_prefix_bindings=n_prefix_bindings)
+                   n_prefix_bindings=n_prefix_bindings,
+                   prefix_done=prefix_done or {})
 
     # --------------------------------------------------------------- views
 

@@ -22,9 +22,10 @@ Entry points choose how much of the sequence to run:
 
 * ``run(ctx)`` — the whole pipeline (driver, snapshot fork);
 * ``run(ctx, stop_after="translate")`` — a prefix
-  (:meth:`PreludeSnapshot.build` stops before selectors and
-  optimisation so forks can re-run the shared tail over the full
-  program).
+  (:meth:`PreludeSnapshot.build` stops before selectors and the core
+  transforms so forks can re-run the shared tail over the full
+  program; it records the binding-local transforms' output over the
+  prelude separately, and forks splice that in).
 
 An *observer* — ``callable(pass_name, ctx)`` — fires after each pass
 completes (after its last unit, for per-unit passes); the CLI's

@@ -17,6 +17,8 @@ transforms cost nothing at import time (matching the seed behaviour).
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.core.dictionary import generate_selectors
 from repro.core.static import analyze_program
 from repro.errors import UnknownModuleError
@@ -26,6 +28,7 @@ from repro.lang.desugar import desugar_program
 from repro.lang.parser import parse_program
 from repro.pipeline.context import CompileContext, SourceUnit
 from repro.pipeline.manager import Pass, PassManager
+from repro.transform.prefix import NOTHING_DONE, DonePrefix
 
 # --------------------------------------------------------------------------
 # Front end (per source unit; the prelude is just unit 0)
@@ -91,13 +94,37 @@ def _selectors(ctx: CompileContext) -> None:
 
 
 def _hoist_dictionaries(ctx: CompileContext) -> None:
-    from repro.transform.float_dicts import hoist_dictionaries
-    ctx.core = hoist_dictionaries(ctx.core)
+    from repro.transform import float_dicts
+    ctx.core = float_dicts.hoist_dictionaries(
+        ctx.core, ctx.prefix_done.get(HOIST, NOTHING_DONE))
 
 
 def _inner_entry_points(ctx: CompileContext) -> None:
-    from repro.transform.entrypoints import add_inner_entry_points
-    ctx.core = add_inner_entry_points(ctx.core)
+    from repro.transform import entrypoints
+    ctx.core = entrypoints.add_inner_entry_points(
+        ctx.core, ctx.prefix_done.get(ENTRY_POINTS, NOTHING_DONE))
+
+
+def binding_local_prefix(ctx: CompileContext) -> Dict[str, DonePrefix]:
+    """Run the binding-local transforms (hoisting, inner entry points)
+    that *ctx*'s options enable over its translated core, once, and
+    record each one's output by pass name.  A later compile whose core
+    starts with these same binding objects carries the records in
+    ``prefix_done``, and its passes splice them in instead of redoing
+    the work.  Hoisting sees the selectors of every class in scope, as
+    it would after the ``selectors`` pass."""
+    from repro.transform import entrypoints, float_dicts
+    enabled = {p.name for p in DEFAULT_PASSES if p.enabled(ctx.options)}
+    bindings = tuple(ctx.core.bindings)
+    done: Dict[str, DonePrefix] = {}
+    if HOIST in enabled:
+        program = CoreProgram(
+            list(bindings) + generate_selectors(ctx.static_env.class_env))
+        done[HOIST] = float_dicts.hoisted_prefix(program, len(bindings))
+        bindings = done[HOIST].outputs
+    if ENTRY_POINTS in enabled:
+        done[ENTRY_POINTS] = entrypoints.entry_pointed_prefix(bindings)
+    return done
 
 
 def _constant_dict_reduction(ctx: CompileContext) -> None:
@@ -144,8 +171,12 @@ def _specialize_xmodule(ctx: CompileContext) -> None:
 # --------------------------------------------------------------------------
 
 #: Name of the last front-end pass; ``run(ctx, stop_after=TRANSLATE)``
-#: is the prelude-snapshot prefix (unoptimised, selector-free core).
+#: is the prelude-snapshot prefix (selector-free core, before any
+#: transform; :func:`binding_local_prefix` then records the prelude's
+#: hoisted and entry-pointed bindings).
 TRANSLATE = "translate"
+HOIST = "hoist-dictionaries"
+ENTRY_POINTS = "inner-entry-points"
 
 DEFAULT_PASSES = (
     Pass("parse", _parse, per_unit=True,
@@ -162,10 +193,10 @@ DEFAULT_PASSES = (
          doc="kernel to core IR (match compilation)"),
     Pass("selectors", _selectors,
          doc="§4 dictionary selector generation"),
-    Pass("hoist-dictionaries", _hoist_dictionaries,
+    Pass(HOIST, _hoist_dictionaries,
          enabled=lambda o: o.hoist_dictionaries,
          doc="§8.8 float dictionary construction out of lambdas"),
-    Pass("inner-entry-points", _inner_entry_points,
+    Pass(ENTRY_POINTS, _inner_entry_points,
          enabled=lambda o: o.inner_entry_points,
          doc="§6.3/§7 skip re-passing dictionaries to recursive calls"),
     Pass("constant-dict-reduction", _constant_dict_reduction,

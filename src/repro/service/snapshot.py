@@ -10,7 +10,9 @@ the result:
 * the inferencer state after ``infer_program(<prelude>)`` — the global
   :class:`~repro.core.infer.TypeEnv`, the scheme table, the compiled
   (dictionary-converted) prelude bindings;
-* the translated (but *unoptimised*, selector-free) prelude core.
+* the translated, selector-free prelude core, and what the
+  binding-local transforms — §8.8 dictionary hoisting and §6.3 inner
+  entry points — make of it (``prefix_done``).
 
 A snapshot is immutable.  :meth:`PreludeSnapshot.fork` produces a
 cheap, independent copy of the *mutable containers* (dictionaries and
@@ -26,10 +28,16 @@ the same registered sequence the cold driver executes, with the
 prelude prefix skipped (the build stops after ``translate``; the fork
 carries the frozen prelude core as the translate pass's prefix).  The
 binding order, schemes and optimised core are identical to a cold
-compile: selectors are regenerated for *all* classes after the user
-program (exactly where the one-shot path emits them) and the
-optimisation passes run over the full concatenated core.  Determinism
-of the result is what makes the compile cache sound — the paper's §8.6
+compile (up to the numbering of the match compiler's locals ``m$``,
+``fail$`` and ``p$``, which a fork's translate pass numbers from 1):
+selectors are regenerated for *all* classes after the user program
+(exactly where the one-shot path emits them).  Hoisting and
+inner entry points rewrite one binding at a time, so over the prelude
+prefix they splice in the snapshot's recorded output and transform
+only the bindings after it; the whole-program passes (§8.4
+constant-dictionary reduction, §9 specialization) run over the full
+concatenated core.  Determinism of the result is what makes both the
+recorded prefix and the compile cache sound — the paper's §8.6
 interface ordering fixes dictionary parameter order, and instance
 resolution is coherent (Bottu et al.), so equal inputs give equal
 elaborations.
@@ -39,7 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.classes import ClassEnv
 from repro.core.infer import Inferencer
@@ -52,7 +60,9 @@ from repro.pipeline import (
     CompileContext,
     default_pass_manager,
 )
+from repro.pipeline.passes import binding_local_prefix
 from repro.prelude import PRELUDE_SOURCE
+from repro.transform.prefix import DonePrefix
 
 
 def prelude_fingerprint(options: Optional[CompilerOptions] = None,
@@ -106,13 +116,19 @@ class PreludeSnapshot:
     def __init__(self, options: CompilerOptions, static_env: StaticEnv,
                  inferencer: Inferencer,
                  core_bindings: Tuple[CoreBinding, ...],
-                 fingerprint: str) -> None:
+                 fingerprint: str,
+                 prefix_done: Mapping[str, DonePrefix]) -> None:
         self.options = options
         self._static_env = static_env
         self._inferencer = inferencer
-        #: translated prelude core: unoptimised and selector-free, so a
-        #: forked compile can reproduce the one-shot pipeline exactly
+        #: translated prelude core, selector-free and before any core
+        #: transform, so a forked compile reproduces the one-shot
+        #: pipeline exactly; a fork's core starts with these objects
         self.core_bindings = core_bindings
+        #: by pass name, the hoisted and the entry-pointed prelude
+        #: bindings (:func:`~repro.pipeline.passes.binding_local_prefix`),
+        #: spliced in by every fork's transform passes
+        self.prefix_done = prefix_done
         #: number of compiled prelude bindings (the fork's outputs
         #: beyond this index belong to the user program)
         self.n_bindings = len(inferencer.output)
@@ -133,15 +149,17 @@ class PreludeSnapshot:
     def build(cls, options: Optional[CompilerOptions] = None,
               prelude_source: str = PRELUDE_SOURCE) -> "PreludeSnapshot":
         """Compile *prelude_source* through the shared pipeline's
-        front-end prefix (parse .. infer .. translate; no selectors, no
-        optimisation — those run per fork over the full program) and
-        freeze the result."""
+        front-end prefix (parse .. infer .. translate; selectors and
+        the whole-program transforms run per fork over the full
+        program), run the binding-local transforms over the prelude
+        core once, and freeze the result."""
         options = options if options is not None else CompilerOptions()
         ctx = CompileContext.fresh(options, [(prelude_source, "<prelude>")])
         default_pass_manager().run(ctx, stop_after=TRANSLATE)
         return cls(options, ctx.static_env, ctx.inferencer,
                    tuple(ctx.core.bindings),
-                   prelude_fingerprint(options, prelude_source))
+                   prelude_fingerprint(options, prelude_source),
+                   binding_local_prefix(ctx))
 
     # ------------------------------------------------------------ forking
 
@@ -188,9 +206,10 @@ def compile_with_snapshot(source: str, snapshot: PreludeSnapshot,
 
     Runs the same pass sequence as a cold compile, with the prelude
     prefix skipped: the forked environments stand in for the prelude's
-    front-end passes, and the frozen prelude core rides in as the
-    translate pass's prefix, so selectors and the §8/§9 transforms see
-    the full concatenated program.  Produces a
+    front-end passes, the frozen prelude core rides in as the
+    translate pass's prefix, and hoisting and inner entry points splice
+    in their recorded prelude output, so selectors and the §8/§9
+    transforms see the full concatenated program.  Produces a
     :class:`repro.driver.CompiledProgram` with the same schemes,
     warnings, binding order and optimised core as a cold
     ``compile_source(source, options)``.
@@ -207,7 +226,8 @@ def compile_with_snapshot(source: str, snapshot: PreludeSnapshot,
     ctx = CompileContext.forked(options, [(source, filename)],
                                 static_env, inferencer,
                                 prefix_core=snapshot.core_bindings,
-                                n_prefix_bindings=snapshot.n_bindings)
+                                n_prefix_bindings=snapshot.n_bindings,
+                                prefix_done=snapshot.prefix_done)
     default_pass_manager().run(ctx, observer=observer)
     return program_from_context(ctx)
 

@@ -22,7 +22,7 @@ polymorphic recursion through a signature) are left untouched.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from repro.coreir.fv import free_vars
 from repro.coreir.syntax import (
@@ -36,13 +36,26 @@ from repro.coreir.syntax import (
     app_spine,
     map_subexprs,
 )
+from repro.transform.prefix import NOTHING_DONE, DonePrefix
 
 
-def add_inner_entry_points(program: CoreProgram) -> CoreProgram:
-    out: List[CoreBinding] = []
-    for b in program.bindings:
-        out.append(_transform_binding(b) or b)
+def add_inner_entry_points(program: CoreProgram,
+                           done: DonePrefix = NOTHING_DONE) -> CoreProgram:
+    """Give every recursive overloaded binding of *program* an inner
+    entry point.  When *program* starts with *done*'s input bindings,
+    their recorded output is spliced in and only the rest is looked
+    at."""
+    out, todo, _names = done.resume(program.bindings)
+    out.extend(_transform_binding(b) or b for b in todo)
     return CoreProgram(out)
+
+
+def entry_pointed_prefix(bindings: Sequence[CoreBinding]) -> DonePrefix:
+    """What :func:`add_inner_entry_points` makes of *bindings*, recorded
+    for later programs that start with the same binding objects."""
+    inputs = tuple(bindings)
+    return DonePrefix(inputs,
+                      tuple(_transform_binding(b) or b for b in inputs))
 
 
 def _transform_binding(b: CoreBinding) -> Optional[CoreBinding]:

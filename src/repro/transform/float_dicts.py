@@ -19,7 +19,7 @@ the full-laziness transformation the paper cites.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Set, Tuple
+from typing import List, Mapping, Optional, Set, Tuple
 
 from repro.coreir.fv import free_vars
 from repro.coreir.syntax import (
@@ -36,6 +36,7 @@ from repro.coreir.syntax import (
     app_spine,
     map_subexprs,
 )
+from repro.transform.prefix import NOTHING_DONE, DonePrefix
 from repro.util.names import NameSupply
 
 
@@ -51,11 +52,13 @@ class _Frame:
 
 
 class _Hoister:
-    def __init__(self, dict_constructors: Set[str],
-                 selectors: Set[str]) -> None:
-        self.dict_constructors = dict_constructors
-        self.selectors = selectors
-        self.names = NameSupply()
+    def __init__(self, program: CoreProgram,
+                 names: Optional[Mapping[str, int]] = None) -> None:
+        self.dict_constructors = {b.name for b in program.bindings
+                                  if b.kind == "dict"}
+        self.selectors = {b.name for b in program.bindings
+                          if b.kind == "selector"}
+        self.names = NameSupply(names)
         self.frames: List[_Frame] = []
         self.top_floats: List[Tuple[str, CoreExpr]] = []
 
@@ -189,12 +192,27 @@ class _Hoister:
         return map_subexprs(expr, self.expr)
 
 
-def hoist_dictionaries(program: CoreProgram) -> CoreProgram:
-    """Apply dictionary hoisting to every binding of *program*."""
-    dict_constructors = {b.name for b in program.bindings
-                         if b.kind == "dict"}
-    selectors = {b.name for b in program.bindings if b.kind == "selector"}
-    if not dict_constructors and not selectors:
+def hoist_dictionaries(program: CoreProgram,
+                       done: DonePrefix = NOTHING_DONE) -> CoreProgram:
+    """Apply dictionary hoisting to every binding of *program*.
+
+    When *program* starts with *done*'s input bindings, their recorded
+    output is spliced in and hoisting continues after them, numbering
+    floats on from the recorded counter."""
+    out, todo, names = done.resume(program.bindings)
+    hoister = _Hoister(program, names)
+    if not hoister.dict_constructors and not hoister.selectors:
         return program
-    hoister = _Hoister(dict_constructors, selectors)
-    return CoreProgram([hoister.binding(b) for b in program.bindings])
+    out.extend(hoister.binding(b) for b in todo)
+    return CoreProgram(out)
+
+
+def hoisted_prefix(program: CoreProgram, n: int) -> DonePrefix:
+    """What :func:`hoist_dictionaries` makes of the first *n* bindings
+    of *program* (knowing every dictionary constructor and selector of
+    all of it), recorded for later programs that start with the same
+    binding objects."""
+    hoister = _Hoister(program)
+    inputs = tuple(program.bindings[:n])
+    return DonePrefix(inputs, tuple(hoister.binding(b) for b in inputs),
+                      hoister.names.counters)

@@ -10,7 +10,7 @@ generated namespace disjoint from the user namespace by construction.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Mapping, Optional
 
 
 class NameSupply:
@@ -21,8 +21,15 @@ class NameSupply:
     counter interleaving every kind of name).
     """
 
-    def __init__(self) -> None:
-        self._counters: Dict[str, int] = {}
+    def __init__(self, counters: Optional[Mapping[str, int]] = None
+                 ) -> None:
+        self._counters: Dict[str, int] = dict(counters or {})
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        """A copy of the per-prefix counters (seed a later supply with
+        it to continue the same numbering)."""
+        return dict(self._counters)
 
     def fresh(self, prefix: str) -> str:
         """Return a fresh name ``<prefix>$<n>``."""

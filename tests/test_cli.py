@@ -1,5 +1,7 @@
 """CLI tests (python -m repro ...)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_options, main, render
@@ -61,6 +63,23 @@ class TestRun:
         for name in ("parse", "infer", "translate", "selectors", "total"):
             assert name in err
         assert "specialize" not in err  # disabled by default
+        # The evaluation gets its own row after the compile passes:
+        # one call, wall ms and the evaluator's step count.
+        rows = err.strip().splitlines()
+        assert rows[-2].startswith("total")
+        eval_row = re.fullmatch(r"eval\s+1\s+(\d+\.\d{3})  steps=(\d+)",
+                                rows[-1])
+        assert eval_row is not None, rows[-1]
+        assert int(eval_row.group(2)) > 0
+
+    def test_time_passes_eval_row_on_failure(self, program_file, capsys):
+        # A failed evaluation still reports its (partial) work.
+        assert main(["run", program_file, "--time-passes",
+                     "-e", "head (tail [double 1])"]) == 1
+        err = capsys.readouterr().err
+        eval_rows = [r for r in err.splitlines() if r.startswith("eval ")]
+        assert len(eval_rows) == 1
+        assert re.search(r"steps=[1-9]\d*$", eval_rows[0])
 
     def test_time_passes_reflects_options(self, program_file, capsys):
         assert main(["run", program_file, "--time-passes",

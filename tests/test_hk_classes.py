@@ -116,6 +116,45 @@ class TestClassKindInference:
         assert exc_info.value.pos is not None
 
 
+class TestKindErrorPositions:
+    """Every kind error names at least one source span in its
+    ``positions`` (the fuzzer's ``--positions`` oracle).  The programs
+    are the ones the seeded fuzz runs first stopped at."""
+
+    def positions(self, source: str):
+        with pytest.raises(KindError) as exc_info:
+            compile_source(source)
+        found = exc_info.value.to_json()["positions"]
+        assert found, str(exc_info.value)
+        return exc_info.value, found
+
+    def test_method_signatures_disagreeing_on_a_class_variable(self):
+        exc, found = self.positions(
+            "class B f where { one :: f a -> Int; two :: f a b -> Int }\n"
+            "main = 1\n")
+        assert (exc.pos.line, exc.pos.column) == (1, 45)   # f a b
+        # The signature exposing the conflict is named too.
+        assert {"line": 1, "column": 38, "reason": "method signature"} \
+            in [{k: p[k] for k in ("line", "column", "reason")}
+                for p in found]
+
+    def test_ill_kinded_type_signature(self):
+        exc, found = self.positions(
+            "data App f = App (f Int)\n"
+            "bad :: App Int -> Int\n"
+            "bad x = 0\n"
+            "main = 0\n")
+        assert [(p["line"], p["column"]) for p in found] == [(2, 8)]
+
+    def test_saturated_instance_head_for_a_constructor_class(self):
+        _exc, found = self.positions(
+            "data Box a = Box a\n"
+            "instance Functor (Box a) where\n"
+            "  fmap f (Box x) = Box (f x)\n"
+            "main = 0\n")
+        assert [p["line"] for p in found] == [2]
+
+
 # ---------------------------------------------------------------------------
 # Kind inference for data groups (the same machinery)
 # ---------------------------------------------------------------------------
